@@ -145,6 +145,43 @@ echo "$out" | awk '
     }
 ' || { echo "query-from-bytes latency regression" >&2; exit 1; }
 
+echo "==> bad sketch specs are refused before the server listens"
+# A spec its sketch cannot run (alpha 1.5 panics DDSketch's mapping on the
+# first ingest; alpha 1e-17 rounds UDDSketch's gamma to 1) must fail the
+# parse: exit non-zero, print "bad sketch spec", never print "listening
+# on". Each command runs under timeout, so a build that accepts the spec
+# fails here instead of serving forever.
+bad_dir="target/ci-bad-spec"
+rm -rf "$bad_dir"
+mkdir -p "$bad_dir"
+refused() { # $1 = exit status, $2 = output file
+    if [ "$1" -eq 0 ] || [ "$1" -eq 124 ] || ! grep -q "bad sketch spec" "$2"; then
+        echo "bad sketch spec not refused (exit $1):" >&2
+        cat "$2" >&2
+        exit 1
+    fi
+}
+status=0
+timeout 10 ./target/release/qsketch_server --addr 127.0.0.1:0 --sketch dds:1.5 \
+    > "$bad_dir/server.out" 2>&1 || status=$?
+refused "$status" "$bad_dir/server.out"
+if grep -q "listening on" "$bad_dir/server.out"; then
+    echo "qsketch_server listened with a bad sketch spec" >&2
+    exit 1
+fi
+status=0
+timeout 10 ./target/release/ckpt_probe --sketch udds:1e-17:1024 "$bad_dir" 2 t k 0.5 \
+    > "$bad_dir/probe.out" 2>&1 || status=$?
+refused "$status" "$bad_dir/probe.out"
+server_help=$(./target/release/qsketch_server --help)
+for family in req kll udds dds moments; do
+    if ! echo "$server_help" | grep -q "$family\[:"; then
+        echo "qsketch_server --help does not name $family" >&2
+        exit 1
+    fi
+done
+echo "bad specs refused before listening; --help names all five families"
+
 echo "==> server smoke (ingest, checkpoint, kill -9, recover, bit-identical re-query)"
 # Drives the real binaries over real TCP: start durable, ingest, take a
 # synchronous checkpoint, query (capturing exact result bits), kill -9,

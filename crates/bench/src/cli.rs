@@ -41,8 +41,9 @@ pub struct Args {
     /// Worker-thread counts for the parallel-scaling experiment
     /// (None = the experiment's default sweep).
     pub threads: Option<Vec<usize>>,
-    /// Run a single explicitly-configured sketch instead of the default
-    /// set (e.g. `--sketch kll:350`, `--sketch dds:0.02`).
+    /// Run a single explicitly-configured sketch, exactly as written,
+    /// instead of the default set (e.g. `--sketch kll:800`,
+    /// `--sketch moments:12:compressed`).
     pub sketch: Option<crate::SketchSpec>,
 }
 
@@ -135,30 +136,21 @@ impl Args {
         })
     }
 
-    /// The sketch set to run: a single `--sketch` override when given,
-    /// otherwise the paper's five, plus baselines on demand.
-    pub fn sketches(&self) -> Vec<crate::SketchKind> {
-        if let Some(spec) = &self.sketch {
-            vec![spec.kind()]
-        } else if self.with_baselines {
-            crate::SketchKind::ALL.to_vec()
-        } else {
-            crate::SketchKind::PAPER_FIVE.to_vec()
-        }
-    }
-
-    /// The fully-parameterised specs to run: the `--sketch` override, or
-    /// the §4.2 paper configuration of every kind
-    /// [`sketches`](Self::sketches) returns. `compress_moments` selects
-    /// the arcsinh-transform Moments variant (per-dataset, §4.2).
+    /// The sketches to run, one spec per column: the `--sketch` spec
+    /// exactly as written, or else the §4.2 configuration of the paper's
+    /// five (seven with `--with-baselines`), the Moments sketch
+    /// arcsinh-compressed if `compress_moments` (each experiment's
+    /// choice, per data set where it runs several).
     pub fn sketch_specs(&self, compress_moments: bool) -> Vec<crate::SketchSpec> {
-        if let Some(spec) = &self.sketch {
-            vec![spec.clone()]
-        } else {
-            self.sketches()
-                .into_iter()
-                .map(|k| crate::SketchSpec::paper(k, compress_moments))
-                .collect()
+        use crate::SketchKind;
+        match self.sketch {
+            Some(spec) => vec![spec],
+            None if self.with_baselines => {
+                SketchKind::ALL.map(|k| k.paper(compress_moments)).to_vec()
+            }
+            None => SketchKind::PAPER_FIVE
+                .map(|k| k.paper(compress_moments))
+                .to_vec(),
         }
     }
 }
@@ -193,8 +185,8 @@ mod tests {
     #[test]
     fn baselines_flag() {
         let a = parse(&["--with-baselines"]).unwrap();
-        assert_eq!(a.sketches().len(), 7);
-        assert_eq!(parse(&[]).unwrap().sketches().len(), 5);
+        assert_eq!(a.sketch_specs(false).len(), 7);
+        assert_eq!(parse(&[]).unwrap().sketch_specs(false).len(), 5);
     }
 
     #[test]
@@ -225,14 +217,24 @@ mod tests {
 
     #[test]
     fn sketch_override() {
-        use crate::{SketchKind, SketchSpec};
+        use crate::SketchKind;
+        use qsketch_datagen::DataSet;
         let a = parse(&["--sketch", "kll:200"]).unwrap();
-        assert_eq!(a.sketch, Some(SketchSpec::kll(200)));
-        assert_eq!(a.sketches(), vec![SketchKind::Kll]);
-        assert_eq!(a.sketch_specs(false), vec![SketchSpec::kll(200)]);
+        assert_eq!(a.sketch, Some("kll:200".parse().unwrap()));
+        assert_eq!(a.sketch_specs(true), vec![a.sketch.unwrap()]);
         assert!(parse(&["--sketch", "bogus"]).is_err());
         assert!(parse(&["--sketch"]).is_err());
-        // No override: paper five at paper parameters.
-        assert_eq!(parse(&[]).unwrap().sketch_specs(false).len(), 5);
+        // An explicit spec is used as written, Moments compression included.
+        let raw = parse(&["--sketch", "moments"]).unwrap();
+        assert_eq!(raw.sketch_specs(true)[0].to_string(), "moments:12");
+        // No override: the paper five at paper parameters, the Moments
+        // sketch compressed on the data sets §4.2 compresses.
+        let paper = parse(&[]).unwrap();
+        for (dataset, compressed) in [(DataSet::Pareto, true), (DataSet::Uniform, false)] {
+            let specs = paper.sketch_specs(dataset.moments_needs_compression());
+            assert_eq!(specs, SketchKind::PAPER_FIVE.map(|k| k.paper(compressed)));
+            let moments = specs[4].to_string();
+            assert_eq!(moments.ends_with(":compressed"), compressed, "{moments}");
+        }
     }
 }

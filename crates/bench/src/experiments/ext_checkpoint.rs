@@ -39,8 +39,7 @@ use std::time::Instant;
 use crate::cli::{Args, Scale};
 use crate::experiments::Report;
 use crate::parts::Parts;
-use crate::registry::AnySketch;
-use crate::spec::SketchSpec;
+use crate::{AnySketch, SketchKind, SketchSpec};
 use qsketch_core::flatwire::SketchView;
 use qsketch_core::metrics::MetricsRegistry;
 use qsketch_core::{QuantileSketch, SketchSerialize};
@@ -97,7 +96,7 @@ pub fn run(args: &Args) -> Report {
     let specs: Vec<SketchSpec> = args
         .sketch_specs(true)
         .into_iter()
-        .filter(|s| s.kind().is_mergeable())
+        .filter(|&s| SketchKind::of(s).is_mergeable())
         .collect();
 
     let mut out = format!(
@@ -123,7 +122,7 @@ pub fn run(args: &Args) -> Report {
     ]);
 
     let mut points = Vec::new();
-    for spec in &specs {
+    for &spec in &specs {
         let point = measure(spec, &values, args, interval);
         table.row(vec![
             point.sketch.clone(),
@@ -174,19 +173,17 @@ fn merged(engine: &KeyedEngine<AnySketch>, parts: &Parts) -> Option<AnySketch> {
     parts.query(engine).merged().ok().flatten()
 }
 
-fn measure(spec: &SketchSpec, values: &[f64], args: &Args, interval: u64) -> CheckpointPoint {
+fn measure(spec: SketchSpec, values: &[f64], args: &Args, interval: u64) -> CheckpointPoint {
     let label = spec.to_string();
     // One factory for all four runs (baseline, checkpointed, crashed,
     // recovered) and every part: same spec, same seed.
-    let factory = {
-        let (spec, seed) = (spec.clone(), args.seed);
-        move || spec.build(seed)
-    };
+    let seed = args.seed;
+    let factory = move || AnySketch::build(spec, seed);
     let parts = Parts::new("stream", SHARDS);
 
     // Baseline: no checkpointing.
     let engine = EngineBuilder::keyed(SHARDS)
-        .spawn(factory.clone())
+        .spawn(factory)
         .expect("at least one shard");
     let base_eps = values.len() as f64 / timed_ingest(&engine, &parts, values);
     let reference = merged(&engine, &parts).expect("same-parameter parts merge");
@@ -204,7 +201,7 @@ fn measure(spec: &SketchSpec, values: &[f64], args: &Args, interval: u64) -> Che
     let engine = EngineBuilder::keyed(SHARDS)
         .checkpoints(ckpt.clone())
         .metrics(&registry, "engine")
-        .spawn(factory.clone())
+        .spawn(factory)
         .expect("checkpoint dir is creatable");
     let ckpt_eps = values.len() as f64 / timed_ingest(&engine, &parts, values);
     engine.finish();
@@ -222,7 +219,7 @@ fn measure(spec: &SketchSpec, values: &[f64], args: &Args, interval: u64) -> Che
     let _ = std::fs::remove_dir_all(&dir);
     let crashed = EngineBuilder::keyed(SHARDS)
         .checkpoints(ckpt.clone())
-        .spawn(factory.clone())
+        .spawn(factory)
         .expect("checkpoint dir is creatable");
     let crash_at = (values.len() as f64 * CRASH_AT) as usize;
     parts

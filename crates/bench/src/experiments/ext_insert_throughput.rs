@@ -37,8 +37,8 @@ use std::time::Instant;
 use crate::cli::{Args, Scale};
 use crate::experiments::Report;
 use crate::parts::CHUNK;
-use crate::registry::SketchKind;
 use crate::table::Table;
+use crate::{AnySketch, SketchKind, SketchSpec};
 use qsketch_core::QuantileSketch;
 use qsketch_datagen::{DataSet, ValueStream, PAPER_EVENTS_PER_UPDATE};
 
@@ -95,11 +95,14 @@ pub fn run(args: &Args) -> Report {
     let r = reps(args.scale);
     // The batch kernels are what distinguish the five paper sketches;
     // the baselines only have the default (scalar-loop) insert_batch.
-    let sketches: Vec<SketchKind> = args
-        .sketches()
-        .into_iter()
-        .filter(|k| SketchKind::PAPER_FIVE.contains(k))
-        .collect();
+    // One column list per data set, whose Moments column is compressed
+    // where §4.2 compresses.
+    let columns = DataSet::ALL.map(|ds| {
+        args.sketch_specs(ds.moments_needs_compression())
+            .into_iter()
+            .filter(|&s| SketchKind::PAPER_FIVE.contains(&SketchKind::of(s)))
+            .collect::<Vec<SketchSpec>>()
+    });
 
     let mut out = format!(
         "Ext: insert throughput, scalar insert() vs insert_batch() \
@@ -115,12 +118,13 @@ pub fn run(args: &Args) -> Report {
     ]);
 
     let mut results: Vec<SketchResult> = Vec::new();
-    for &kind in &sketches {
+    for si in 0..columns[0].len() {
+        let label = SketchKind::of(columns[0][si]).label();
         let mut cells = Vec::new();
-        for &ds in &DataSet::ALL {
-            let cell = measure(kind, ds, n, r, args.seed);
+        for (&ds, specs) in DataSet::ALL.iter().zip(&columns) {
+            let cell = measure(specs[si], ds, n, r, args.seed);
             table.row(vec![
-                kind.label().to_string(),
+                label.to_string(),
                 cell.dataset.to_string(),
                 format!("{:.2}", cell.scalar_mvps),
                 format!("{:.2}", cell.batch_mvps),
@@ -136,14 +140,14 @@ pub fn run(args: &Args) -> Report {
         let scalar_mvps = total_values / scalar_ns * 1e3;
         let batch_mvps = total_values / batch_ns * 1e3;
         table.row(vec![
-            kind.label().to_string(),
+            label.to_string(),
             "ALL".to_string(),
             format!("{scalar_mvps:.2}"),
             format!("{batch_mvps:.2}"),
             format!("{:.2}x", batch_mvps / scalar_mvps),
         ]);
         results.push(SketchResult {
-            sketch: kind.label(),
+            sketch: label,
             cells,
             scalar_mvps,
             batch_mvps,
@@ -187,7 +191,7 @@ pub fn run(args: &Args) -> Report {
 }
 
 /// Time both insert paths for one (sketch, data set) pair.
-fn measure(kind: SketchKind, ds: DataSet, n: usize, reps: usize, seed: u64) -> Cell {
+fn measure(spec: SketchSpec, ds: DataSet, n: usize, reps: usize, seed: u64) -> Cell {
     // Pre-generate once so value generation is outside both timed loops
     // and identical between them.
     let mut gen = ds.generator(seed, PAPER_EVENTS_PER_UPDATE);
@@ -196,7 +200,7 @@ fn measure(kind: SketchKind, ds: DataSet, n: usize, reps: usize, seed: u64) -> C
     let mut scalar_best_ns = f64::INFINITY;
     let mut batch_best_ns = f64::INFINITY;
     for _ in 0..reps {
-        let mut sketch = kind.build_for(seed, ds);
+        let mut sketch = AnySketch::build(spec, seed);
         let start = Instant::now();
         for &v in &values {
             sketch.insert(v);
@@ -204,7 +208,7 @@ fn measure(kind: SketchKind, ds: DataSet, n: usize, reps: usize, seed: u64) -> C
         scalar_best_ns = scalar_best_ns.min(start.elapsed().as_nanos() as f64);
         std::hint::black_box(sketch.count());
 
-        let mut sketch = kind.build_for(seed, ds);
+        let mut sketch = AnySketch::build(spec, seed);
         let start = Instant::now();
         for chunk in values.chunks(CHUNK) {
             sketch.insert_batch(chunk);

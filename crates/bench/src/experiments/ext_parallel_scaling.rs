@@ -29,8 +29,8 @@ use std::time::Instant;
 use crate::cli::{Args, Scale};
 use crate::experiments::Report;
 use crate::parts::{Parts, CHUNK};
-use crate::registry::SketchKind;
 use crate::table::Table;
+use crate::{AnySketch, SketchKind, SketchSpec};
 use qsketch_core::metrics::MetricsRegistry;
 use qsketch_core::QuantileSketch;
 use qsketch_datagen::{FixedPareto, ValueStream};
@@ -78,10 +78,10 @@ pub fn run(args: &Args) -> Report {
 
     // GK has no merge operation, so it cannot ride the merge-on-query
     // engine; skip it even under --with-baselines.
-    let sketches: Vec<SketchKind> = args
-        .sketches()
+    let specs: Vec<SketchSpec> = args
+        .sketch_specs(true)
         .into_iter()
-        .filter(|k| k.is_mergeable())
+        .filter(|&s| SketchKind::of(s).is_mergeable())
         .collect();
 
     let mut out = format!(
@@ -100,10 +100,10 @@ pub fn run(args: &Args) -> Report {
     ]);
 
     let mut points: Vec<ScalingPoint> = Vec::new();
-    for &kind in &sketches {
+    for &spec in &specs {
         let mut baseline_eps: Option<f64> = None;
         for &t in &threads {
-            let point = measure(kind, t, &values, args, registry.as_ref(), baseline_eps);
+            let point = measure(spec, t, &values, args, registry.as_ref(), baseline_eps);
             if baseline_eps.is_none() {
                 baseline_eps = Some(point.throughput_eps);
             }
@@ -143,7 +143,7 @@ pub fn run(args: &Args) -> Report {
 
 /// Run one (sketch, threads) configuration end-to-end and measure it.
 fn measure(
-    kind: SketchKind,
+    spec: SketchSpec,
     threads: usize,
     values: &[f64],
     args: &Args,
@@ -153,13 +153,14 @@ fn measure(
     // One factory seed for every part: the engine's factory contract
     // (every key starts from the same state) applies to part keys too.
     let seed = args.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ threads as u64;
+    let label = SketchKind::of(spec).label();
     let mut builder = EngineBuilder::keyed(threads);
     if let Some(r) = registry {
-        let prefix = format!("engine.{}.t{}", kind.label().to_lowercase(), threads);
+        let prefix = format!("engine.{}.t{}", label.to_lowercase(), threads);
         builder = builder.metrics(r, &prefix);
     }
     let engine = builder
-        .spawn(move || kind.build(seed, true))
+        .spawn(move || AnySketch::build(spec, seed))
         .expect("threads >= 1 enforced by the CLI");
     let parts = Parts::new("stream", threads);
 
@@ -186,8 +187,7 @@ fn measure(
     assert_eq!(
         merged.count(),
         values.len() as u64,
-        "{} t={threads}: engine lost events",
-        kind.label()
+        "{label} t={threads}: engine lost events"
     );
 
     latency_samples.sort_unstable();
@@ -196,7 +196,7 @@ fn measure(
     let elapsed_s = elapsed.as_secs_f64();
     let throughput_eps = values.len() as f64 / elapsed_s;
     ScalingPoint {
-        sketch: kind.label(),
+        sketch: label,
         threads,
         elapsed_s,
         throughput_eps,

@@ -11,6 +11,7 @@
 use crate::cli::Args;
 use crate::experiments::{accuracy_stats, scaled_config, Report};
 use crate::table::{fmt_pct, Table};
+use crate::SketchKind;
 use qsketch_core::metrics::MetricsRegistry;
 use qsketch_datagen::DataSet;
 use qsketch_streamsim::{NetworkDelay, PAPER_MEAN_DELAY_MS};
@@ -22,8 +23,8 @@ const LAG_FACTORS: [f64; 4] = [0.0, 0.5, 1.0, 4.0];
 /// stream, where every recovered event carries spike mass).
 pub fn run(args: &Args) -> Report {
     let runs = args.runs_or(3);
-    let sketches = args.sketches();
     let dataset = DataSet::Nyt;
+    let specs = args.sketch_specs(dataset.moments_needs_compression());
     let registry = args.metrics.then(MetricsRegistry::new);
 
     let mut out = format!(
@@ -32,7 +33,9 @@ pub fn run(args: &Args) -> Report {
         dataset.label()
     );
     let mut header: Vec<String> = vec!["lag (ms)".into(), "loss".into()];
-    header.extend(sketches.iter().map(|k| format!("{} p99 err", k.label())));
+    for &spec in &specs {
+        header.push(format!("{} p99 err", SketchKind::of(spec).label()));
+    }
     let mut table = Table::new(header);
 
     for factor in LAG_FACTORS {
@@ -44,8 +47,8 @@ pub fn run(args: &Args) -> Report {
         let mut row = vec![format!("{lag_ms}")];
         let mut loss_cell = None;
         let mut err_cells = Vec::new();
-        for &kind in &sketches {
-            let outcome = accuracy_stats(kind, dataset, &cfg, runs, args.seed, registry.as_ref());
+        for &spec in &specs {
+            let outcome = accuracy_stats(spec, dataset, &cfg, runs, args.seed, registry.as_ref());
             loss_cell.get_or_insert_with(|| format!("{:.3}%", outcome.loss_fraction() * 100.0));
             err_cells.push(fmt_pct(outcome.q_mean(0.99)));
         }

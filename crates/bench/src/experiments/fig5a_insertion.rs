@@ -7,6 +7,7 @@ use std::time::Instant;
 use crate::cli::{Args, Scale};
 use crate::experiments::Report;
 use crate::table::{fmt_ns, Table};
+use crate::{AnySketch, SketchKind};
 use qsketch_core::QuantileSketch;
 use qsketch_datagen::{FixedPareto, ValueStream};
 
@@ -29,17 +30,17 @@ pub fn run(args: &Args) -> Report {
     let mut out = String::from(
         "Fig. 5a: average insertion time of an element (Pareto alpha=1, Xm=1 stream)\n\n",
     );
-    let sketches = args.sketches();
+    // Pareto spans many decades: the Moments sketch gets the same
+    // arcsinh compression the paper applies to Pareto data.
+    let specs = args.sketch_specs(true);
     let mut header: Vec<String> = vec!["insertions".into()];
-    header.extend(sketches.iter().map(|k| k.label().to_string()));
+    header.extend(specs.iter().map(|&s| SketchKind::of(s).label().to_string()));
     let mut table = Table::new(header);
 
     for &n in &sizes(args.scale) {
         let mut row = vec![format!("{n}")];
-        for &kind in &sketches {
-            // Pareto spans many decades: the Moments sketch gets the same
-            // arcsinh compression the paper applies to Pareto data.
-            let mut sketch = kind.build(args.seed, true);
+        for &spec in &specs {
+            let mut sketch = AnySketch::build(spec, args.seed);
             let mut gen = FixedPareto::paper_speed_workload(args.seed);
             let mut buf = vec![0.0f64; CHUNK];
             let mut remaining = n;

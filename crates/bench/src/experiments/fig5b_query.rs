@@ -6,6 +6,7 @@ use crate::cli::{Args, Scale};
 use crate::experiments::Report;
 use crate::table::{fmt_ns, Table};
 use crate::timing::time_reps;
+use crate::{AnySketch, SketchKind};
 use qsketch_core::quantiles::QUERIED;
 use qsketch_core::QuantileSketch;
 use qsketch_datagen::FixedPareto;
@@ -34,15 +35,15 @@ pub fn run(args: &Args) -> Report {
         "Fig. 5b: quantile computation time vs entries processed \
          (avg per query over the 8 paper quantiles)\n\n",
     );
-    let sketches = args.sketches();
+    let specs = args.sketch_specs(true);
     let mut header: Vec<String> = vec!["entries".into()];
-    header.extend(sketches.iter().map(|k| k.label().to_string()));
+    header.extend(specs.iter().map(|&s| SketchKind::of(s).label().to_string()));
     let mut table = Table::new(header);
 
     for &n in &sizes(args.scale) {
         let mut row = vec![format!("{n}")];
-        for &kind in &sketches {
-            let mut sketch = kind.build(args.seed, true);
+        for &spec in &specs {
+            let mut sketch = AnySketch::build(spec, args.seed);
             let mut gen = FixedPareto::paper_speed_workload(args.seed);
             super::fill_batched(&mut sketch, &mut gen, n);
             let timing = time_reps(2, reps(args.scale), || {

@@ -6,8 +6,8 @@ use std::time::Instant;
 
 use crate::cli::{Args, Scale};
 use crate::experiments::Report;
-use crate::registry::AnySketch;
 use crate::table::{fmt_ns, Table};
+use crate::{AnySketch, SketchKind, SketchSpec};
 use qsketch_core::QuantileSketch;
 use qsketch_datagen::{BinomialGen, FixedUniform, ValueStream, ZipfGen};
 
@@ -22,8 +22,8 @@ fn workload(scale: Scale) -> (usize, Vec<usize>) {
 
 /// Populate one shard sketch from the §4.1 merge workload: shard `i`
 /// draws from uniform/binomial/Zipf in rotation.
-fn populate(kind: crate::SketchKind, seed: u64, shard: usize, events: usize) -> AnySketch {
-    let mut sketch = kind.build(seed.wrapping_add(shard as u64), false);
+fn populate(spec: SketchSpec, seed: u64, shard: usize, events: usize) -> AnySketch {
+    let mut sketch = AnySketch::build(spec, seed.wrapping_add(shard as u64));
     let mut gen: Box<dyn ValueStream> = match shard % 3 {
         0 => Box::new(FixedUniform::new(seed + shard as u64, 30.0, 100.0)),
         1 => Box::new(BinomialGen::new(seed + shard as u64, 100, 0.2)),
@@ -41,21 +41,21 @@ pub fn run(args: &Args) -> Report {
          from U(30,100)/Binomial(100,0.2)/Zipf(20,0.6))\n\n"
     );
     // GK has no merge; exclude baselines that cannot merge.
-    let sketches: Vec<crate::SketchKind> = args
-        .sketches()
+    let specs: Vec<SketchSpec> = args
+        .sketch_specs(false)
         .into_iter()
-        .filter(|k| *k != crate::SketchKind::Gk)
+        .filter(|&s| SketchKind::of(s).is_mergeable())
         .collect();
 
     let mut header: Vec<String> = vec!["sketches merged".into()];
-    header.extend(sketches.iter().map(|k| k.label().to_string()));
+    header.extend(specs.iter().map(|&s| SketchKind::of(s).label().to_string()));
     let mut table = Table::new(header);
 
     for &count in &counts {
         let mut row = vec![format!("{count}")];
-        for &kind in &sketches {
+        for &spec in &specs {
             let shards: Vec<AnySketch> = (0..count)
-                .map(|i| populate(kind, args.seed, i, events))
+                .map(|i| populate(spec, args.seed, i, events))
                 .collect();
             let mut acc = shards[0].clone();
             let start = Instant::now();

@@ -5,6 +5,7 @@
 use crate::cli::Args;
 use crate::experiments::{accuracy_stats, scaled_config, Report};
 use crate::table::{fmt_pct, Table};
+use crate::SketchKind;
 use qsketch_core::quantiles::QuantileGroup;
 use qsketch_datagen::DataSet;
 use qsketch_streamsim::NetworkDelay;
@@ -13,7 +14,6 @@ use qsketch_streamsim::NetworkDelay;
 pub fn run(args: &Args) -> Report {
     let cfg = scaled_config(args, NetworkDelay::None);
     let runs = args.runs_or(3);
-    let sketches = args.sketches();
 
     let mut out = format!(
         "Fig. 6: accuracy by data set\n(windows of {} events; {} measured windows/run x {runs} runs; \
@@ -29,9 +29,9 @@ pub fn run(args: &Args) -> Report {
         header.push("p99 ±95%CI".into());
         header.push("late loss".into());
         let mut table = Table::new(header);
-        for &kind in &sketches {
-            let outcome = accuracy_stats(kind, dataset, &cfg, runs, args.seed, None);
-            let mut row = vec![kind.label().to_string()];
+        for spec in args.sketch_specs(dataset.moments_needs_compression()) {
+            let outcome = accuracy_stats(spec, dataset, &cfg, runs, args.seed, None);
+            let mut row = vec![SketchKind::of(spec).label().to_string()];
             for group in QuantileGroup::ALL {
                 row.push(fmt_pct(outcome.group_mean(group)));
             }

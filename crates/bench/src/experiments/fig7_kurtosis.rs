@@ -4,6 +4,7 @@
 use crate::cli::Args;
 use crate::experiments::{accuracy_stats, scaled_config, Report};
 use crate::table::{fmt_pct, Table};
+use crate::SketchKind;
 use qsketch_core::stats::kurtosis;
 use qsketch_datagen::DataSet;
 use qsketch_streamsim::NetworkDelay;
@@ -22,7 +23,6 @@ pub fn run(args: &Args) -> Report {
     let mut cfg = scaled_config(args, NetworkDelay::None);
     cfg.quantiles = vec![0.98];
     let runs = args.runs_or(3);
-    let sketches = args.sketches();
 
     // Order data sets by measured kurtosis (the paper's x-axis).
     let mut ordered: Vec<(DataSet, f64)> = DataSet::ALL
@@ -39,13 +39,15 @@ pub fn run(args: &Args) -> Report {
         "Fig. 7: accuracy of the 0.98-quantile query as a function of kurtosis\n\n",
     );
     let mut header: Vec<String> = vec!["dataset".into(), "kurtosis".into()];
-    header.extend(sketches.iter().map(|k| k.label().to_string()));
+    for spec in args.sketch_specs(false) {
+        header.push(SketchKind::of(spec).label().into());
+    }
     let mut table = Table::new(header);
 
     for (dataset, k) in ordered {
         let mut row = vec![dataset.label().to_string(), format!("{k:.1}")];
-        for &kind in &sketches {
-            let outcome = accuracy_stats(kind, dataset, &cfg, runs, args.seed, None);
+        for spec in args.sketch_specs(dataset.moments_needs_compression()) {
+            let outcome = accuracy_stats(spec, dataset, &cfg, runs, args.seed, None);
             row.push(fmt_pct(outcome.q_mean(0.98)));
         }
         table.row(row);

@@ -4,6 +4,7 @@
 use crate::cli::{Args, Scale};
 use crate::experiments::Report;
 use crate::table::{fmt_pct, Table};
+use crate::{AnySketch, SketchKind};
 use qsketch_core::error::{relative_error, ErrorStats};
 use qsketch_core::exact::ExactQuantiles;
 use qsketch_core::quantiles::QUERIED;
@@ -23,17 +24,17 @@ fn half(scale: Scale) -> u64 {
 pub fn run(args: &Args) -> Report {
     let half = half(args.scale);
     let runs = args.runs_or(3);
-    let sketches = args.sketches();
+    let specs = args.sketch_specs(false);
     let mut out = format!(
         "Fig. 8: adaptability — Binomial(30,0.4) x{half} then U(30,100) x{half}\n\n"
     );
 
     let mut header: Vec<String> = vec!["q".into()];
-    header.extend(sketches.iter().map(|k| k.label().to_string()));
+    header.extend(specs.iter().map(|&s| SketchKind::of(s).label().to_string()));
     let mut table = Table::new(header);
 
     // error[sketch][q] accumulated over runs.
-    let mut stats = vec![vec![ErrorStats::new(); QUERIED.len()]; sketches.len()];
+    let mut stats = vec![vec![ErrorStats::new(); QUERIED.len()]; specs.len()];
     for run in 0..runs {
         let run_seed = args.seed.wrapping_add(run as u64 * 7919);
         // One shared materialised stream per run so every sketch sees the
@@ -42,8 +43,8 @@ pub fn run(args: &Args) -> Report {
         let values = stream.take_vec(2 * half as usize);
         let mut oracle = ExactQuantiles::with_capacity(values.len());
         oracle.extend(values.iter().copied());
-        for (si, &kind) in sketches.iter().enumerate() {
-            let mut sketch = kind.build(run_seed, false);
+        for (si, &spec) in specs.iter().enumerate() {
+            let mut sketch = AnySketch::build(spec, run_seed);
             for &v in &values {
                 sketch.insert(v);
             }
@@ -58,7 +59,7 @@ pub fn run(args: &Args) -> Report {
 
     for (qi, &q) in QUERIED.iter().enumerate() {
         let mut row = vec![format!("{q}")];
-        for (si, _) in sketches.iter().enumerate() {
+        for (si, _) in specs.iter().enumerate() {
             let s = &stats[si][qi];
             row.push(if s.is_empty() {
                 "n/a".into()

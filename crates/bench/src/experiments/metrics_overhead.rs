@@ -16,6 +16,7 @@ use crate::cli::{Args, Scale};
 use crate::experiments::Report;
 use crate::table::Table;
 use crate::timing::{black_box, time_reps};
+use crate::{AnySketch, SketchKind};
 use qsketch_core::metrics::{Instrumented, MetricsRegistry};
 use qsketch_core::QuantileSketch;
 use qsketch_datagen::{DataSet, ValueStream};
@@ -42,17 +43,18 @@ pub fn run(args: &Args) -> Report {
     let mut table = Table::new(["sketch", "bare ns/insert", "instrumented ns/insert", "overhead"]);
 
     let registry = MetricsRegistry::new();
-    for &kind in &args.sketches() {
+    for spec in args.sketch_specs(false) {
+        let label = SketchKind::of(spec).label();
         let bare = time_reps(1, reps, || {
-            let mut s = kind.build(args.seed, false);
+            let mut s = AnySketch::build(spec, args.seed);
             for &v in &values {
                 s.insert(v);
             }
             black_box(s.count());
         });
-        let prefix = format!("sketch.{}", kind.label());
+        let prefix = format!("sketch.{label}");
         let instrumented = time_reps(1, reps, || {
-            let mut s = Instrumented::new(kind.build(args.seed, false), &registry, &prefix);
+            let mut s = Instrumented::new(AnySketch::build(spec, args.seed), &registry, &prefix);
             for &v in &values {
                 s.insert(v);
             }
@@ -62,7 +64,7 @@ pub fn run(args: &Args) -> Report {
         let instr_ns = instrumented.mean_ns / n as f64;
         let overhead = (instr_ns - bare_ns) / bare_ns * 100.0;
         table.row(vec![
-            kind.label().to_string(),
+            label.to_string(),
             format!("{bare_ns:.1}"),
             format!("{instr_ns:.1}"),
             format!("{overhead:+.1}%"),

@@ -162,12 +162,12 @@ pub fn main(name: &str) {
 }
 
 /// Shared accuracy-experiment driver: run `runs` independent seeded runs
-/// of `cfg` for one sketch kind on one data set and fold all per-window
+/// of `cfg` for one sketch spec on one data set and fold all per-window
 /// errors into per-quantile [`ErrorStats`]. With a `registry` (the
 /// `--metrics` path) every run records pipeline and per-sketch-op
 /// metrics into it; counters accumulate across all runs sharing it.
 pub(crate) fn accuracy_stats(
-    kind: crate::SketchKind,
+    spec: crate::SketchSpec,
     dataset: DataSet,
     cfg: &AccuracyConfig,
     runs: usize,
@@ -185,9 +185,9 @@ pub(crate) fn accuracy_stats(
         let seed = base_seed
             .wrapping_add(run as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (kind.label().len() as u64);
+            ^ (crate::SketchKind::of(spec).label().len() as u64);
         let values = dataset.generator(seed, qsketch_datagen::PAPER_EVENTS_PER_UPDATE);
-        let factory = || kind.build_for(seed, dataset);
+        let factory = || crate::AnySketch::build(spec, seed);
         let summary = match registry {
             Some(r) => qsketch_streamsim::harness::run_accuracy_instrumented(
                 factory, values, cfg, seed, r,

@@ -4,6 +4,7 @@
 use crate::cli::Args;
 use crate::experiments::{accuracy_stats, scaled_config, Report};
 use crate::table::{fmt_pct, Table};
+use crate::SketchKind;
 use qsketch_core::metrics::MetricsRegistry;
 use qsketch_core::quantiles::QuantileGroup;
 use qsketch_datagen::DataSet;
@@ -22,7 +23,6 @@ pub fn run(args: &Args) -> Report {
     let cfg_late = scaled_config(args, delay);
     let cfg_clean = scaled_config(args, NetworkDelay::None);
     let runs = args.runs_or(3);
-    let sketches = args.sketches();
     let registry = args.metrics.then(MetricsRegistry::new);
 
     let mut out = format!(
@@ -40,10 +40,10 @@ pub fn run(args: &Args) -> Report {
         header.push("loss".into());
         let mut table = Table::new(header);
 
-        for &kind in &sketches {
-            let clean = accuracy_stats(kind, dataset, &cfg_clean, runs, args.seed, None);
-            let late = accuracy_stats(kind, dataset, &cfg_late, runs, args.seed, registry.as_ref());
-            let mut row = vec![kind.label().to_string()];
+        for spec in args.sketch_specs(dataset.moments_needs_compression()) {
+            let clean = accuracy_stats(spec, dataset, &cfg_clean, runs, args.seed, None);
+            let late = accuracy_stats(spec, dataset, &cfg_late, runs, args.seed, registry.as_ref());
+            let mut row = vec![SketchKind::of(spec).label().to_string()];
             for g in QuantileGroup::ALL {
                 row.push(fmt_pct(clean.group_mean(g)));
                 row.push(fmt_pct(late.group_mean(g)));

@@ -4,6 +4,7 @@
 use crate::cli::Args;
 use crate::experiments::{accuracy_stats, scaled_config, Report};
 use crate::table::{fmt_pct, Table};
+use crate::SketchKind;
 use qsketch_core::quantiles::QUERIED;
 use qsketch_datagen::DataSet;
 use qsketch_streamsim::NetworkDelay;
@@ -15,7 +16,6 @@ const WINDOW_SECS: [u64; 3] = [5, 10, 20];
 /// quantile set) per sketch and window size, per data set.
 pub fn run(args: &Args) -> Report {
     let runs = args.runs_or(3);
-    let sketches = args.sketches();
     let mut out = String::from(
         "Sec. 4.7: sensitivity of accuracy to window size (5 s / 10 s / 20 s)\n\n",
     );
@@ -27,13 +27,13 @@ pub fn run(args: &Args) -> Report {
         header.push("delta(20s-5s)".into());
         let mut table = Table::new(header);
 
-        for &kind in &sketches {
-            let mut row = vec![kind.label().to_string()];
+        for spec in args.sketch_specs(dataset.moments_needs_compression()) {
+            let mut row = vec![SketchKind::of(spec).label().to_string()];
             let mut means = Vec::new();
             for &wsecs in &WINDOW_SECS {
                 let mut cfg = scaled_config(args, NetworkDelay::None);
                 cfg.window_secs = wsecs;
-                let outcome = accuracy_stats(kind, dataset, &cfg, runs, args.seed, None);
+                let outcome = accuracy_stats(spec, dataset, &cfg, runs, args.seed, None);
                 // Overall mean across the full quantile set.
                 let mean = QUERIED
                     .iter()

@@ -4,6 +4,7 @@
 use crate::cli::Args;
 use crate::experiments::Report;
 use crate::table::{fmt_kb, Table};
+use crate::{AnySketch, SketchKind};
 use qsketch_core::QuantileSketch;
 use qsketch_datagen::{DataSet, PAPER_EVENTS_PER_UPDATE};
 
@@ -27,18 +28,19 @@ fn points(scale: crate::cli::Scale) -> usize {
 
 /// Run the experiment and render the table.
 pub fn run(args: &Args) -> Report {
-    let sketches = args.sketches();
     let mut out = String::from(
         "Table 3: final memory usage of each sketch (KB) after consuming 1M data points\n\n",
     );
     let mut header: Vec<String> = vec!["dataset".into()];
-    header.extend(sketches.iter().map(|k| k.label().to_string()));
+    for spec in args.sketch_specs(false) {
+        header.push(SketchKind::of(spec).label().into());
+    }
     let mut table = Table::new(header);
 
     for dataset in DataSet::ALL {
         let mut row: Vec<String> = vec![dataset.label().to_string()];
-        for &kind in &sketches {
-            let mut sketch = kind.build_for(args.seed, dataset);
+        for spec in args.sketch_specs(dataset.moments_needs_compression()) {
+            let mut sketch = AnySketch::build(spec, args.seed);
             let mut gen = dataset.generator(args.seed, PAPER_EVENTS_PER_UPDATE);
             for _ in 0..points(args.scale) {
                 sketch.insert(gen.next_value());

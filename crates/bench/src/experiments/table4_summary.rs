@@ -160,7 +160,8 @@ pub fn run(args: &Args) -> Report {
         let mut tail = Vec::new();
         let mut mid = Vec::new();
         for ds in DataSet::ALL {
-            let outcome = accuracy_stats(kind, ds, &cfg, runs, args.seed, None);
+            let spec = kind.paper(ds.moments_needs_compression());
+            let outcome = accuracy_stats(spec, ds, &cfg, runs, args.seed, None);
             tail.push((ds, outcome.group_mean(QuantileGroup::Upper) <= ACCURACY_THRESHOLD));
             mid.push((ds, outcome.group_mean(QuantileGroup::Mid) <= ACCURACY_THRESHOLD));
         }

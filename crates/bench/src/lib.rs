@@ -7,11 +7,10 @@
 //! This library also provides what the experiments share:
 //!
 //! * [`registry`] — a uniform handle ([`registry::AnySketch`]) over the
-//!   five evaluated sketches (plus the §5.2 baselines), constructed with
-//!   the paper's §4.2 parameters,
-//! * [`spec`] — sketch configuration as a value ([`SketchSpec`]):
-//!   parameterised constructors, a parseable/printable textual form
-//!   (`--sketch kll:350`), and the bridge to the serialized wire headers,
+//!   five evaluated sketches (plus the §5.2 baselines), built from a
+//!   [`SketchSpec`] — the server's one sketch configuration, whose
+//!   `--sketch kll:350` grammar every experiment binary reads — or at the
+//!   paper's §4.2 parameters,
 //! * [`parts`] — one stream spread over every shard of the engine (one
 //!   part key per shard, chunks fed round-robin, merged on query),
 //! * [`table`] — plain-text table rendering for experiment output,
@@ -25,9 +24,8 @@ pub mod cli;
 pub mod experiments;
 pub mod parts;
 pub mod registry;
-pub mod spec;
 pub mod table;
 pub mod timing;
 
+pub use qsketch_server::config::{ParseSpecError, SketchSpec};
 pub use registry::{AnySketch, SketchKind};
-pub use spec::{ParseSpecError, SketchSpec};

@@ -3,12 +3,13 @@
 
 use qsketch_baselines::{GkSketch, TDigest};
 use qsketch_core::sketch::{MergeError, QuantileSketch, QueryError};
-use qsketch_datagen::DataSet;
 use qsketch_ddsketch::DdSketch;
 use qsketch_kll::KllSketch;
 use qsketch_moments::MomentsSketch;
-use qsketch_req::ReqSketch;
+use qsketch_req::{RankAccuracy, ReqSketch};
 use qsketch_uddsketch::UddSketch;
+
+use crate::SketchSpec;
 
 /// The sketches of the study. The first five are the paper's subjects;
 /// [`SketchKind::Gk`] and [`SketchKind::TDigest`] are the §5.2 baselines
@@ -66,20 +67,39 @@ impl SketchKind {
         }
     }
 
-    /// Build this sketch with the §4.2 parameters. `seed` drives the
-    /// randomised sketches (KLL, REQ); `compress_moments` applies the log
-    /// transform §4.2 prescribes for the Pareto and Power data sets.
-    ///
-    /// Delegates to [`SketchSpec::paper`](crate::SketchSpec::paper) — use
-    /// a [`SketchSpec`](crate::SketchSpec) directly for non-paper
-    /// parameters.
-    pub fn build(self, seed: u64, compress_moments: bool) -> AnySketch {
-        crate::SketchSpec::paper(self, compress_moments).build(seed)
+    /// The kind `spec` builds.
+    pub fn of(spec: SketchSpec) -> Self {
+        match spec {
+            SketchSpec::Req { .. } => SketchKind::Req,
+            SketchSpec::Kll { .. } => SketchKind::Kll,
+            SketchSpec::Udds { .. } => SketchKind::Udds,
+            SketchSpec::Dds { .. } => SketchKind::Dds,
+            SketchSpec::Moments { .. } => SketchKind::Moments,
+            SketchSpec::Gk { .. } => SketchKind::Gk,
+            SketchSpec::TDigest { .. } => SketchKind::TDigest,
+        }
     }
 
-    /// Build with the compression choice §4.2 makes for `dataset`.
-    pub fn build_for(self, seed: u64, dataset: DataSet) -> AnySketch {
-        self.build(seed, dataset.moments_needs_compression())
+    /// The §4.2 configuration of this kind — what its bare `--sketch`
+    /// name parses to — with the Moments sketch arcsinh-compressed when
+    /// `compress_moments` (§4.2 does so for the Pareto and Power data
+    /// sets).
+    pub fn paper(self, compress_moments: bool) -> SketchSpec {
+        // Every label, lowercased, is its kind's bare `--sketch` name.
+        let name = self.label().to_ascii_lowercase();
+        match name.parse().expect("every lowercased label is a bare name") {
+            SketchSpec::Moments { num_moments, .. } => SketchSpec::Moments {
+                num_moments,
+                compressed: compress_moments,
+            },
+            spec => spec,
+        }
+    }
+
+    /// Build this sketch with the §4.2 parameters ([`paper`](Self::paper)).
+    /// `seed` drives the randomised sketches (KLL, REQ).
+    pub fn build(self, seed: u64, compress_moments: bool) -> AnySketch {
+        AnySketch::build(self.paper(compress_moments), seed)
     }
 
     /// Whether same-kind merging can succeed (§2.4): everything but GK,
@@ -111,6 +131,31 @@ pub enum AnySketch {
 }
 
 impl AnySketch {
+    /// Build the sketch `spec` configures. `seed` drives the randomised
+    /// sketches (KLL, REQ); deterministic sketches ignore it.
+    pub fn build(spec: SketchSpec, seed: u64) -> Self {
+        match spec {
+            SketchSpec::Req { num_sections } => {
+                AnySketch::Req(ReqSketch::with_seed(num_sections, RankAccuracy::High, seed))
+            }
+            SketchSpec::Kll { k } => AnySketch::Kll(KllSketch::with_seed(k, seed)),
+            SketchSpec::Udds { alpha, max_buckets } => {
+                AnySketch::Udds(UddSketch::new(alpha, max_buckets))
+            }
+            SketchSpec::Dds { alpha } => AnySketch::Dds(DdSketch::unbounded(alpha)),
+            SketchSpec::Moments {
+                num_moments,
+                compressed,
+            } => AnySketch::Moments(if compressed {
+                MomentsSketch::with_compression(num_moments)
+            } else {
+                MomentsSketch::new(num_moments)
+            }),
+            SketchSpec::Gk { epsilon } => AnySketch::Gk(GkSketch::new(epsilon)),
+            SketchSpec::TDigest { compression } => AnySketch::TDigest(TDigest::new(compression)),
+        }
+    }
+
     /// Which kind this sketch is.
     pub fn kind(&self) -> SketchKind {
         match self {
@@ -151,11 +196,9 @@ impl AnySketch {
     }
 
     /// The configuration this sketch was built with, reconstructed from
-    /// its live parameters — the inverse of
-    /// [`SketchSpec::build`](crate::SketchSpec::build), used to label
-    /// results and checkpoint files.
-    pub fn spec(&self) -> crate::SketchSpec {
-        use crate::SketchSpec;
+    /// its live parameters — the inverse of [`build`](Self::build), used
+    /// to label results and checkpoint files.
+    pub fn spec(&self) -> SketchSpec {
         match self {
             AnySketch::Req(s) => SketchSpec::Req {
                 num_sections: s.k(),
@@ -508,20 +551,27 @@ mod tests {
         assert_eq!(labels, vec!["REQ", "KLL", "UDDS", "DDS", "Moments"]);
     }
 
+    /// Every paper spec, and every spec at an accepted bound (the
+    /// bench-only baselines included; the grammar's and the served
+    /// families' side of the hostile-spec table is
+    /// `qsketch_server::config`'s), builds a sketch of its kind that
+    /// reports the spec back, takes mixed-sign values, answers and
+    /// encodes.
     #[test]
-    fn moments_compression_per_dataset() {
-        use qsketch_datagen::DataSet;
-        let compressed = SketchKind::Moments.build_for(1, DataSet::Pareto);
-        if let AnySketch::Moments(m) = compressed {
-            assert!(m.is_compressed());
-        } else {
-            panic!("expected Moments");
+    fn specs_build_working_sketches_of_their_kind() {
+        use qsketch_core::codec::SketchSerialize;
+        let bounds = "req:1024 kll:65535 dds:8.9e-5 udds:3.5e-7:10 moments:15:compressed
+            gk:1e-300 gk:0.999 tdigest:10 tdigest:65535";
+        let paper = SketchKind::ALL.map(|k| [k.paper(false), k.paper(true)]);
+        let bounds = bounds.split_whitespace().map(|t| t.parse().unwrap());
+        for spec in paper.into_iter().flatten().chain(bounds) {
+            let mut s = AnySketch::build(spec, 5);
+            assert_eq!((s.kind(), s.spec()), (SketchKind::of(spec), spec));
+            s.insert_batch(&[1.0, 1000.0, -3.0, 0.25, 0.0, -0.5, 7.0, 1000.0]);
+            assert_eq!(s.count(), 8, "{spec}");
+            assert!(s.query(0.5).is_ok(), "{spec}");
+            assert_eq!(AnySketch::decode(&s.encode()).unwrap().count(), 8, "{spec}");
         }
-        let plain = SketchKind::Moments.build_for(1, DataSet::Uniform);
-        if let AnySketch::Moments(m) = plain {
-            assert!(!m.is_compressed());
-        } else {
-            panic!("expected Moments");
-        }
+        assert_eq!(SketchKind::Kll.paper(true), "kll".parse().unwrap());
     }
 }

@@ -106,6 +106,24 @@ pub fn poly_log2(x: f64) -> f64 {
     exponent as f64 + p
 }
 
+/// `|ln x|` of the finite positive f64 farthest from 1 in log space:
+/// every one lies in `[2⁻¹⁰⁷⁴, 2¹⁰²⁴)`, so `|ln x| ≤ 1074·ln 2`.
+pub const MAX_ABS_LN: f64 = 1074.0 * std::f64::consts::LN_2;
+
+/// The smallest relative accuracy α (bucket base `γ = (1+α)/(1−α)`) a
+/// logarithmic sketch may be configured with: below it, some finite
+/// positive f64's index saturates the `i32` cast of
+/// [`FastCeilIndexer::index_exact`], and that value silently loses its α
+/// guarantee.
+///
+/// `ln γ = 2·atanh α > 2α`, so for `α ≥ MIN_ALPHA` every index
+/// `⌈ln x / ln γ⌉` is at most `MAX_ABS_LN / (2α) + 1 ≤ i32::MAX / 2 + 1`
+/// away from zero: half the `i32` range, so a store's offset arithmetic
+/// around an index (the index minus its growth slack, UDDSketch's
+/// `⌈i/2⌉`) cannot overflow either. It is ≈ 3.47e-7; the paper's
+/// UDDSketch α₀ ≈ 4.9e-6 lies above it.
+pub const MIN_ALPHA: f64 = MAX_ABS_LN / i32::MAX as f64;
+
 /// `⌈log_γ x⌉` with the `ln` call elided whenever the polynomial approximation
 /// is provably on the same side of every bucket edge as the exact value.
 ///
@@ -210,6 +228,17 @@ impl FastCeilIndexer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_alpha_keeps_every_finite_positive_index_in_half_the_i32_range() {
+        let indexer = |alpha: f64| FastCeilIndexer::new((1.0 + alpha) / (1.0 - alpha));
+        for x in [f64::from_bits(1), f64::MIN_POSITIVE, 1.0, f64::MAX] {
+            let i = indexer(MIN_ALPHA).index(x);
+            assert!(i.unsigned_abs() <= i32::MAX as u32 / 2 + 1, "x={x:e}: {i}");
+        }
+        // Below the bound, 1000's index saturates the cast.
+        assert_eq!(indexer(1e-9).index_exact(1000.0), i32::MAX);
+    }
 
     /// γ values covering the paper's α range plus UDDSketch's collapsed
     /// (squared) bases.

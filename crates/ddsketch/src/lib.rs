@@ -37,8 +37,15 @@ mod sketch;
 pub mod store;
 
 pub use mapping::{IndexMapping, LinearInterpolatedMapping, LogarithmicMapping};
-pub use sketch::{DdSketch, WIRE_MAGIC};
+pub use sketch::{DdSketch, MAX_WIRE_BUCKETS, WIRE_MAGIC};
 
 /// The relative-error parameter used in the paper's experiments (§4.2):
 /// α = 0.01, hence γ = 1.0202.
 pub const PAPER_ALPHA: f64 = 0.01;
+
+/// The smallest α a DDSketch should be configured with (≈ 8.87e-5):
+/// every finite positive f64 has `|ln x| ≤`
+/// [`MAX_ABS_LN`](qsketch_core::fastlog::MAX_ABS_LN) and `ln γ > 2α`, so
+/// at `α ≥ MIN_ALPHA` every bucket index stays within the
+/// ±[`MAX_WIRE_BUCKETS`] the decoder accepts, and every payload decodes.
+pub const MIN_ALPHA: f64 = qsketch_core::fastlog::MAX_ABS_LN / (2.0 * MAX_WIRE_BUCKETS as f64);

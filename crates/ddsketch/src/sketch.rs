@@ -590,7 +590,7 @@ mod tests {
 /// (LEB128, fixed 4-byte indices) still decode. Only the unbounded-store
 /// sketch is encodable — a collapsed store has already discarded
 /// information that the receiving side could not validate.
-pub use codec::MAGIC as WIRE_MAGIC;
+pub use codec::{MAGIC as WIRE_MAGIC, MAX_BUCKETS as MAX_WIRE_BUCKETS};
 
 mod codec {
     use super::*;
@@ -603,9 +603,10 @@ mod codec {
     pub const MAGIC: u8 = 0xD0;
     const LEGACY_VERSION: u8 = 1;
     const FLAT_VERSION: u8 = 3;
-    /// Upper bound on buckets accepted from a payload (a 2048-bucket
-    /// sketch already spans 17 decades at α = 0.01, §4.8).
-    const MAX_BUCKETS: u64 = 1 << 22;
+    /// Upper bound on the buckets, and on the magnitude of the bucket
+    /// indices, accepted from a payload (a 2048-bucket sketch already
+    /// spans 17 decades at α = 0.01, §4.8).
+    pub const MAX_BUCKETS: u64 = 1 << 22;
 
     fn totals_disagree(count: u64) -> DecodeError {
         DecodeError::Corrupt(format!("bucket totals disagree with count {count}"))

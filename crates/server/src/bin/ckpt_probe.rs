@@ -20,90 +20,98 @@ use std::process::ExitCode;
 use qsketch_core::codec::SketchSerialize;
 use qsketch_core::flatwire::SketchView;
 use qsketch_core::sketch::{MergeableSketch, SketchFactory};
-use qsketch_ddsketch::DdSketch;
-use qsketch_kll::KllSketch;
-use qsketch_server::config::{ServerSketchSpec, SERVER_SKETCH_SEED};
+use qsketch_server::config::{Serve, SketchSpec, DEFAULT_SKETCH, SKETCH_HELP};
 use qsketch_streamsim::checkpoint::CheckpointConfig;
 use qsketch_streamsim::EngineBuilder;
-use qsketch_uddsketch::UddSketch;
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 ckpt_probe — answer a query from a server checkpoint directory, as --recover would
 
 USAGE:
     ckpt_probe [--sketch SPEC] DIR SHARDS TENANT KEY Q [Q ...]
 
-    --sketch SPEC   kll[:k] | dds[:alpha] | udds[:alpha:buckets]
-                    (default kll:200 — must match the server that
-                    wrote the checkpoints)
-";
+{SKETCH_HELP}                           SPEC must match the server that wrote the checkpoints
+"
+    )
+}
 
-fn run<S, F>(
-    factory: F,
-    dir: &str,
+/// One recovered query, served with the factory the server minted with;
+/// the probe never ingests, so the factory only fixes the sketch type
+/// that decodes payloads.
+struct Probe<'a> {
+    dir: &'a str,
     shards: usize,
-    tenant: &str,
-    key: &str,
-    qs: &[f64],
-) -> Result<(), String>
-where
-    S: MergeableSketch + SketchSerialize + SketchView + Clone + Send + 'static,
-    F: SketchFactory<Sketch = S> + Clone + Send + 'static,
-{
-    // Recovery would create a missing directory; a probe must not.
-    if !Path::new(dir).is_dir() {
-        return Err(format!("checkpoint directory {dir} does not exist"));
+    tenant: &'a str,
+    key: &'a str,
+    qs: &'a [f64],
+}
+
+impl Serve for Probe<'_> {
+    type Output = Result<(), String>;
+
+    fn serve<S, F>(self, factory: F) -> Self::Output
+    where
+        S: MergeableSketch + SketchSerialize + SketchView + Clone + Send + Sync + 'static,
+        F: SketchFactory<Sketch = S> + Clone + Send + 'static,
+    {
+        let Probe {
+            dir, tenant, key, ..
+        } = self;
+        // Recovery would create a missing directory; a probe must not.
+        if !Path::new(dir).is_dir() {
+            return Err(format!("checkpoint directory {dir} does not exist"));
+        }
+        // An interval no probe reaches: nothing is ingested, so no worker
+        // ever writes a checkpoint.
+        let engine = EngineBuilder::keyed(self.shards)
+            .checkpoints(CheckpointConfig::new(dir, u64::MAX))
+            .recover(factory)
+            .map_err(|e| format!("recovering checkpoint set in {dir}: {e}"))?;
+        let snap = engine
+            .query(tenant, key)
+            .map_err(|e| format!("query for ({tenant}, {key}): {e}"))?;
+        let values = snap
+            .quantiles(self.qs)
+            .map_err(|e| format!("quantiles for ({tenant}, {key}): {e}"))?;
+        let count = snap
+            .count()
+            .map_err(|e| format!("count for ({tenant}, {key}): {e}"))?;
+        for (q, v) in self.qs.iter().zip(values) {
+            println!("q={q} value={v} bits={:#018x}", v.to_bits());
+        }
+        println!("count={count}");
+        engine.finish();
+        Ok(())
     }
-    // An interval no probe reaches: nothing is ingested, so no worker
-    // ever writes a checkpoint.
-    let engine = EngineBuilder::keyed(shards)
-        .checkpoints(CheckpointConfig::new(dir, u64::MAX))
-        .recover(factory)
-        .map_err(|e| format!("recovering checkpoint set in {dir}: {e}"))?;
-    let snap = engine
-        .query(tenant, key)
-        .map_err(|e| format!("query for ({tenant}, {key}): {e}"))?;
-    let values = snap
-        .quantiles(qs)
-        .map_err(|e| format!("quantiles for ({tenant}, {key}): {e}"))?;
-    let count = snap
-        .count()
-        .map_err(|e| format!("count for ({tenant}, {key}): {e}"))?;
-    for (q, v) in qs.iter().zip(values) {
-        println!("q={q} value={v} bits={:#018x}", v.to_bits());
-    }
-    println!("count={count}");
-    engine.finish();
-    Ok(())
 }
 
 fn main_inner(args: &[String]) -> Result<(), String> {
-    let mut spec = ServerSketchSpec::default();
+    let mut spec = DEFAULT_SKETCH;
     let mut rest: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--sketch" => {
                 let v = it.next().ok_or("--sketch needs a value")?;
-                spec = v.parse()?;
+                spec = v.parse::<SketchSpec>().map_err(|e| e.to_string())?;
             }
             "--help" | "-h" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 return Ok(());
             }
             _ => rest.push(arg),
         }
     }
     if rest.len() < 5 {
-        return Err(USAGE.to_string());
+        return Err(usage());
     }
-    let dir = rest[0];
     let shards: usize = rest[1]
         .parse()
         .ok()
         .filter(|s| *s > 0)
         .ok_or_else(|| format!("bad shard count {:?}", rest[1]))?;
-    let (tenant, key) = (rest[2], rest[3]);
     let qs: Vec<f64> = rest[4..]
         .iter()
         .map(|s| {
@@ -113,35 +121,14 @@ fn main_inner(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("bad quantile {s:?}"))
         })
         .collect::<Result<_, _>>()?;
-
-    // The same factories the server mints with; the probe never
-    // ingests, so they only fix the sketch type that decodes payloads.
-    match spec {
-        ServerSketchSpec::Kll { k } => run(
-            move || KllSketch::with_seed(k, SERVER_SKETCH_SEED),
-            dir,
-            shards,
-            tenant,
-            key,
-            &qs,
-        ),
-        ServerSketchSpec::Dds { alpha } => run(
-            move || DdSketch::unbounded(alpha),
-            dir,
-            shards,
-            tenant,
-            key,
-            &qs,
-        ),
-        ServerSketchSpec::Udds { alpha, buckets } => run(
-            move || UddSketch::new(alpha, buckets),
-            dir,
-            shards,
-            tenant,
-            key,
-            &qs,
-        ),
-    }
+    let probe = Probe {
+        dir: rest[0],
+        shards,
+        tenant: rest[2],
+        key: rest[3],
+        qs: &qs,
+    };
+    spec.serve(probe).map_err(|e| e.to_string()).and_then(|r| r)
 }
 
 fn main() -> ExitCode {

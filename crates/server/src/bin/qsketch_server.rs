@@ -18,16 +18,15 @@ use std::sync::Arc;
 use qsketch_core::codec::SketchSerialize;
 use qsketch_core::flatwire::SketchView;
 use qsketch_core::sketch::{MergeableSketch, SketchFactory};
-use qsketch_ddsketch::DdSketch;
-use qsketch_kll::KllSketch;
-use qsketch_server::config::{parse_rollup_tiers, ServerSketchSpec, SERVER_SKETCH_SEED};
+use qsketch_server::config::{parse_rollup_tiers, Serve, SketchSpec, DEFAULT_SKETCH, SKETCH_HELP};
 use qsketch_server::server::{spawn_core, Server};
 use qsketch_streamsim::checkpoint::CheckpointConfig;
 use qsketch_streamsim::keyed_engine::{KeyedEngineConfig, RollupOptions, TenantQuota};
 use qsketch_streamsim::rollup::TierSpec;
-use qsketch_uddsketch::UddSketch;
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 qsketch_server — multi-tenant quantile sketch server
 
 USAGE:
@@ -37,8 +36,7 @@ OPTIONS:
     --addr ADDR            listen address (default 127.0.0.1:7071; port 0 = ephemeral)
     --shards N             shard worker count (default 4)
     --queue-capacity N     per-shard queue capacity in batches (default 256)
-    --sketch SPEC          kll[:k] | dds[:alpha] | udds[:alpha:buckets] (default kll:200)
-    --ckpt-dir DIR         enable durability: checkpoint registries into DIR
+{SKETCH_HELP}    --ckpt-dir DIR         enable durability: checkpoint registries into DIR
     --ckpt-interval N      values per shard between automatic checkpoints (default 1048576)
     --recover              restore state from DIR's checkpoints at start
     --quota TENANT=RATE    per-tenant ingest quota, events/s (repeatable)
@@ -48,13 +46,15 @@ OPTIONS:
                            (default 1:16,4:16,16:16)
     --rollup-dir DIR       spill rollup tiers to per-key subdirectories of DIR
     --help                 print this help
-";
+"
+    )
+}
 
 /// The parsed command line: the engine config plus what only the binary
 /// uses.
 struct Options {
     addr: String,
-    sketch: ServerSketchSpec,
+    sketch: SketchSpec,
     recover: bool,
     engine: KeyedEngineConfig,
 }
@@ -62,7 +62,7 @@ struct Options {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         addr: "127.0.0.1:7071".into(),
-        sketch: ServerSketchSpec::default(),
+        sketch: DEFAULT_SKETCH,
         recover: false,
         engine: KeyedEngineConfig::new(4),
     };
@@ -97,7 +97,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or("--queue-capacity needs a positive integer")?;
             }
             "--sketch" => {
-                opts.sketch = next_value("--sketch", &mut it)?.parse()?;
+                opts.sketch = next_value("--sketch", &mut it)?
+                    .parse::<SketchSpec>()
+                    .map_err(|e| e.to_string())?;
             }
             "--ckpt-dir" => {
                 ckpt_dir = Some(next_value("--ckpt-dir", &mut it)?.into());
@@ -149,7 +151,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--rollup-dir" => {
                 rollup_dir = Some(next_value("--rollup-dir", &mut it)?.into());
             }
-            other => return Err(format!("unknown option {other:?}\n\n{USAGE}")),
+            other => return Err(format!("unknown option {other:?}\n\n{}", usage())),
         }
     }
     if opts.recover && ckpt_dir.is_none() {
@@ -175,48 +177,56 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn run<S, F>(opts: Options, factory: F) -> Result<(), String>
-where
-    S: MergeableSketch + SketchSerialize + SketchView + Clone + Send + Sync + 'static,
-    F: SketchFactory<Sketch = S> + Clone + Send + 'static,
-{
-    let shards = opts.engine.shards;
-    let durable = opts.engine.checkpoint.is_some();
-    let core = Arc::new(
-        spawn_core(opts.engine, factory, opts.recover)
-            .map_err(|e| format!("engine startup failed: {e}"))?,
-    );
-    let server = Server::start(&opts.addr, Arc::clone(&core))
-        .map_err(|e| format!("bind {} failed: {e}", opts.addr))?;
-    // Stdout writes ignore errors: a closed stdout (EPIPE) must not turn
-    // a clean shutdown into a panic.
-    let _ = writeln!(
-        std::io::stdout(),
-        "listening on {} ({}, {} shards{})",
-        server.local_addr(),
-        opts.sketch,
-        shards,
-        match (durable, opts.recover) {
-            (true, true) => ", durable, recovered",
-            (true, false) => ", durable",
-            (false, _) => "",
+/// The server's run, served with the factory of its `--sketch` family.
+struct Run(Options);
+
+impl Serve for Run {
+    type Output = Result<(), String>;
+
+    fn serve<S, F>(self, factory: F) -> Self::Output
+    where
+        S: MergeableSketch + SketchSerialize + SketchView + Clone + Send + Sync + 'static,
+        F: SketchFactory<Sketch = S> + Clone + Send + 'static,
+    {
+        let Run(opts) = self;
+        let shards = opts.engine.shards;
+        let durable = opts.engine.checkpoint.is_some();
+        let core = Arc::new(
+            spawn_core(opts.engine, factory, opts.recover)
+                .map_err(|e| format!("engine startup failed: {e}"))?,
+        );
+        let server = Server::start(&opts.addr, Arc::clone(&core))
+            .map_err(|e| format!("bind {} failed: {e}", opts.addr))?;
+        // Stdout writes ignore errors: a closed stdout (EPIPE) must not turn
+        // a clean shutdown into a panic.
+        let _ = writeln!(
+            std::io::stdout(),
+            "listening on {} ({}, {} shards{})",
+            server.local_addr(),
+            opts.sketch,
+            shards,
+            match (durable, opts.recover) {
+                (true, true) => ", durable, recovered",
+                (true, false) => ", durable",
+                (false, _) => "",
+            }
+        );
+        std::io::stdout().flush().ok();
+        while !server.shutdown_requested() {
+            std::thread::sleep(std::time::Duration::from_millis(100));
         }
-    );
-    std::io::stdout().flush().ok();
-    while !server.shutdown_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        server.join();
+        core.final_checkpoint()
+            .map_err(|e| format!("final checkpoint failed: {e}"))?;
+        let _ = writeln!(std::io::stdout(), "shutdown complete");
+        Ok(())
     }
-    server.join();
-    core.final_checkpoint()
-        .map_err(|e| format!("final checkpoint failed: {e}"))?;
-    let _ = writeln!(std::io::stdout(), "shutdown complete");
-    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
+        print!("{}", usage());
         return ExitCode::SUCCESS;
     }
     let opts = match parse_args(&args) {
@@ -226,16 +236,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match opts.sketch {
-        ServerSketchSpec::Kll { k } => {
-            run(opts, move || KllSketch::with_seed(k, SERVER_SKETCH_SEED))
-        }
-        ServerSketchSpec::Dds { alpha } => run(opts, move || DdSketch::unbounded(alpha)),
-        ServerSketchSpec::Udds { alpha, buckets } => {
-            run(opts, move || UddSketch::new(alpha, buckets))
-        }
-    };
-    match result {
+    let sketch = opts.sketch;
+    match sketch
+        .serve(Run(opts))
+        .map_err(|e| e.to_string())
+        .and_then(|r| r)
+    {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -281,5 +287,12 @@ mod tests {
         let rollup = parse("--rollup-window 500").unwrap().engine.rollup;
         assert_eq!(rollup.unwrap().tiers.len(), 3);
         assert!(parse("--rollup-dir spill").is_err());
+    }
+
+    #[test]
+    fn sketch_flag_is_validated_before_anything_starts() {
+        assert_eq!(parse("").unwrap().sketch, DEFAULT_SKETCH);
+        let err = parse("--sketch dds:1.5").err().expect("dds:1.5 parsed");
+        assert!(err.contains("bad sketch spec"), "{err}");
     }
 }

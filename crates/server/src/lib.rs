@@ -17,7 +17,9 @@
 //!
 //! * [`protocol`] — the wire format: length-prefixed frames, versioned
 //!   payloads, typed errors. Spec in `PROTOCOL.md`.
-//! * [`config`] — the `--sketch` spec and `--rollup-tiers` grammars.
+//! * [`config`] — the one sketch spec (`--sketch`, for the server and
+//!   every experiment), the served-family table, and the `--rollup-tiers`
+//!   grammar.
 //! * [`server`] — [`ServerCore`] (pure request handler) and
 //!   [`Server`] (TCP accept loop).
 //! * [`client`] — a blocking client, used by the `qsketch_client` CLI,
@@ -34,6 +36,6 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use config::ServerSketchSpec;
+pub use config::SketchSpec;
 pub use protocol::{ErrorCode, RequestView, Response, ServerStats, PROTOCOL_VERSION};
 pub use server::{spawn_core, Server, ServerCore, SERVER_NAME};

@@ -6,9 +6,12 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use qsketch_core::codec::SketchSerialize;
+use qsketch_core::flatwire::SketchView;
+use qsketch_core::sketch::{MergeableSketch, SketchFactory};
 use qsketch_kll::KllSketch;
 use qsketch_server::client::{Client, ClientError};
-use qsketch_server::config::SERVER_SKETCH_SEED;
+use qsketch_server::config::{Serve, SketchSpec, SERVER_SKETCH_SEED};
 use qsketch_server::protocol::{ErrorCode, RequestView, Response, MAX_FRAME};
 use qsketch_server::server::{spawn_core, Server, ServerCore};
 use qsketch_streamsim::checkpoint::CheckpointConfig;
@@ -190,51 +193,77 @@ fn noisy_tenant_is_rejected_while_quiet_tenant_stays_fast() {
     drop(server);
 }
 
+/// One checkpoint → kill → recover round trip, served with the factory
+/// the binary mints for `--sketch` (the spec text names the temp dir).
+struct RecoverRoundTrip(&'static str);
+
+impl Serve for RecoverRoundTrip {
+    type Output = ();
+
+    fn serve<S, F>(self, factory: F)
+    where
+        S: MergeableSketch + SketchSerialize + SketchView + Clone + Send + Sync + 'static,
+        F: SketchFactory<Sketch = S> + Clone + Send + 'static,
+    {
+        let spec = self.0;
+        let dir = tmp_dir(&format!("recover-{}", spec.replace([':', '.'], "-")));
+        let mut config = KeyedEngineConfig::new(3);
+        config.checkpoint = Some(CheckpointConfig::new(&dir, 1 << 20));
+        let start = |recover| {
+            let core = spawn_core(config.clone(), factory.clone(), recover).unwrap();
+            Server::start("127.0.0.1:0", Arc::new(core)).unwrap()
+        };
+
+        // First life: ingest, checkpoint, remember bit-exact answers.
+        let server = start(false);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for key in ["a", "b", "c", "d"] {
+            let values: Vec<f64> = (0..3_000)
+                .map(|i| ((i * 2_654_435_761_u64 % 100_000) as f64) / 7.0)
+                .collect();
+            client.ingest("acme", key, &values).unwrap();
+        }
+        client.checkpoint().unwrap();
+        let qs = [0.01, 0.25, 0.5, 0.75, 0.99, 1.0];
+        let mut expected = Vec::new();
+        for key in ["a", "b", "c", "d"] {
+            let (values, count) = client.query("acme", key, &qs).unwrap();
+            assert_eq!(count, 3_000, "{spec}");
+            expected.push(values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+        let (merged, count, merged_keys) = client.merged_query("acme", "", &[0.5]).unwrap();
+        assert_eq!((count, merged_keys), (12_000, 4), "{spec}");
+        client.shutdown().unwrap();
+        server.join();
+
+        // Second life: recover from the checkpoints, same answers, bit for
+        // bit — including the merged query.
+        let server = start(true);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (i, key) in ["a", "b", "c", "d"].iter().enumerate() {
+            let (values, count) = client.query("acme", key, &qs).unwrap();
+            assert_eq!(count, 3_000, "{spec} key {key}");
+            let got: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected[i], "{spec} key {key}");
+        }
+        let (got, count, merged_keys) = client.merged_query("acme", "", &[0.5]).unwrap();
+        assert_eq!((count, merged_keys), (12_000, 4), "{spec}");
+        assert_eq!(got[0].to_bits(), merged[0].to_bits(), "{spec} merged");
+
+        // And the recovered server keeps accepting new data.
+        client.ingest("acme", "a", &[1.0]).unwrap();
+        client.flush().unwrap();
+        let (_, count) = client.query("acme", "a", &[0.5]).unwrap();
+        assert_eq!(count, 3_001, "{spec}");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn checkpoint_recover_answers_bit_identically() {
-    let dir = tmp_dir("recover");
-    let mut config = KeyedEngineConfig::new(3);
-    config.checkpoint = Some(CheckpointConfig::new(&dir, 1 << 20));
-
-    // First life: ingest, checkpoint, remember bit-exact answers.
-    let (server, _core) = start(config.clone(), false);
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    for key in ["a", "b", "c", "d"] {
-        let values: Vec<f64> = (0..3_000)
-            .map(|i| ((i * 2_654_435_761_u64 % 100_000) as f64) / 7.0)
-            .collect();
-        client.ingest("acme", key, &values).unwrap();
+    for spec in ["req", "kll:200", "udds", "dds", "moments"] {
+        let parsed: SketchSpec = spec.parse().unwrap();
+        parsed.serve(RecoverRoundTrip(spec)).unwrap();
     }
-    client.checkpoint().unwrap();
-    let qs = [0.01, 0.25, 0.5, 0.75, 0.99, 1.0];
-    let mut expected = Vec::new();
-    for key in ["a", "b", "c", "d"] {
-        let (values, count) = client.query("acme", key, &qs).unwrap();
-        assert_eq!(count, 3_000);
-        expected.push(values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-    }
-    client.shutdown().unwrap();
-    server.join();
-
-    // Second life: recover from the checkpoints, same answers, bit for
-    // bit — including the merged query.
-    let (server, _core) = start(config, true);
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    for (i, key) in ["a", "b", "c", "d"].iter().enumerate() {
-        let (values, count) = client.query("acme", key, &qs).unwrap();
-        assert_eq!(count, 3_000, "key {key}");
-        let got: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, expected[i], "key {key}");
-    }
-    let (_, count, merged_keys) = client.merged_query("acme", "", &[0.5]).unwrap();
-    assert_eq!(count, 12_000);
-    assert_eq!(merged_keys, 4);
-
-    // And the recovered server keeps accepting new data.
-    client.ingest("acme", "a", &[1.0]).unwrap();
-    client.flush().unwrap();
-    let (_, count) = client.query("acme", "a", &[0.5]).unwrap();
-    assert_eq!(count, 3_001);
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -43,7 +43,7 @@ mod fused;
 mod sketch;
 
 pub use fused::FusedUddSketch;
-pub use sketch::{UddSketch, WIRE_MAGIC};
+pub use sketch::{UddSketch, MAX_WIRE_BUCKETS, WIRE_MAGIC};
 
 /// Paper parameters (§4.2): 1024 buckets, `num_collapses = 12`, final
 /// α = 0.01.

@@ -997,7 +997,7 @@ mod tests {
 /// payloads (grid exponent implied as `2^collapses`; γ is rederived by
 /// squaring, keeping the deterioration law exact) and version-2 payloads
 /// (explicit exponent, written only for fused-merge grids) still decode.
-pub use codec::MAGIC as WIRE_MAGIC;
+pub use codec::{MAGIC as WIRE_MAGIC, MAX_BUCKETS_WIRE as MAX_WIRE_BUCKETS};
 
 mod codec {
     use super::*;
@@ -1010,7 +1010,9 @@ mod codec {
     pub const MAGIC: u8 = 0xDD;
     const LEGACY_VERSION: u8 = 2;
     const FLAT_VERSION: u8 = 3;
-    const MAX_BUCKETS_WIRE: u64 = 1 << 22;
+    /// Upper bound on the buckets, and on the bucket budget, accepted
+    /// from a payload.
+    pub const MAX_BUCKETS_WIRE: u64 = 1 << 22;
 
     fn read_map(r: &mut Reader<'_>) -> Result<BTreeMap<i32, u64>, DecodeError> {
         let n = r.varint()?;

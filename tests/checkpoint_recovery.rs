@@ -168,7 +168,7 @@ fn type_erased_bench_sketches_survive_the_envelope() {
 
     for spec in ["kll:350", "req:30", "dds:0.02", "udds:0.01:1024", "moments:12:compressed"] {
         let spec: SketchSpec = spec.parse().unwrap();
-        let mut sketch = spec.build(99);
+        let mut sketch = AnySketch::build(spec, 99);
         let mut gen = DataSet::Nyt.generator(5, 50);
         for _ in 0..10_000 {
             sketch.insert(gen.next_value());

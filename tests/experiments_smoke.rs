@@ -171,6 +171,19 @@ fn ext_checkpoint_sketch_override_runs_only_that_sketch() {
     assert!(out.contains("kll:200") && !out.contains("dds:"));
 }
 
+/// An explicit `--sketch` is built as written: KLL's memory follows `k`.
+#[test]
+fn table3_memory_builds_the_sketch_spec_as_written() {
+    let pareto_row = |spec: &str| {
+        let mut args = tiny();
+        args.sketch = Some(spec.parse().unwrap());
+        let out = e::table3_memory::run(&args).table;
+        // The first Pareto row is the measured one; the paper's follows.
+        out.lines().find(|l| l.starts_with("Pareto")).unwrap().to_string()
+    };
+    assert_ne!(pareto_row("kll:8"), pareto_row("kll:800"));
+}
+
 #[test]
 fn ext_parallel_scaling_metrics_expose_engine_health() {
     let mut args = tiny();
